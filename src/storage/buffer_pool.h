@@ -160,7 +160,12 @@ struct BufferPoolStats {
 /// baseline page accesses flow through Fetch(), so pool hits/misses — and
 /// therefore the simulated I/O cost — reflect each algorithm's true access
 /// locality. Frames holding pinned pages are never evicted; Fetch fails
-/// with OutOfRange if every candidate frame is pinned.
+/// with OutOfRange if every candidate frame is pinned. The candidate
+/// frames are the capacity/num_stripes frames of the page's stripe (the
+/// first capacity % num_stripes stripes get one more; see below), not the
+/// whole pool. Under concurrency that OutOfRange is transient: it lasts
+/// only while other threads hold those pins, so a caller that holds no
+/// pin may retry.
 ///
 /// Concurrency: frames are partitioned into `num_stripes` stripes by page
 /// id (`id % num_stripes`), each stripe owning its own latch, page table,
